@@ -1,4 +1,5 @@
-//! Persistent, content-addressed characterization cache.
+//! Persistent, content-addressed characterization cache — and the one
+//! characterization engine that runs through it.
 //!
 //! Gate-level characterization (Fig 5.8's trace → delay-trace →
 //! error-curve pipeline) dominates the wall-clock of every end-to-end run,
@@ -15,11 +16,16 @@
 //!   [`crate::scenario::Json`] tree (shortest-round-trip floats), so a
 //!   cached [`BenchmarkData`] is **bit-identical** to a freshly computed
 //!   one — golden fixtures cannot tell the difference;
-//! * the store is crash- and corruption-safe: writes go through a
-//!   temp-file + rename, and any unreadable, truncated, version- or
-//!   key-mismatched entry falls back to recomputation (never an error);
-//! * hits and misses are counted process-wide ([`CacheStats`]) so CLIs
-//!   and report sinks can surface what the cache did.
+//! * the store is crash- and corruption-safe: writes go through
+//!   [`write_entry_file`]'s uniquely named temp file + rename, and any
+//!   unreadable, truncated, version- or key-mismatched entry falls back to
+//!   recomputation (never an error);
+//! * hits and misses are counted per cache ([`CharCache::stats`], shared
+//!   by its clones) and process-wide ([`CacheStats::snapshot`]), so a
+//!   service reports its own cache and CLIs can surface the total.
+//!
+//! [`characterize_pairs`] is the only path from a (benchmark, stage) pair
+//! to its [`BenchmarkData`]; every other entry point is a call to it.
 //!
 //! The store lives at [`CACHE_DIR_ENV`] (`SYNTS_CACHE_DIR`), defaulting
 //! to `target/synts-cache/`. Disable it with [`CharCache::disabled`] (the
@@ -30,15 +36,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use circuits::StageKind;
-use workloads::{Benchmark, WorkloadTrace};
+use workloads::{Benchmark, ThreadWork, WorkloadTrace};
 
 use crate::error::OptError;
 use crate::experiments::{
-    characterize_workload_on, characterize_workload_pooled, BenchmarkData, HarnessConfig,
-    IntervalData, ThreadData,
+    characterize_thread, BenchmarkData, HarnessConfig, IntervalData, ThreadData,
 };
 use crate::faults::{site, FaultPlan};
 use crate::parallel::ThreadPool;
+use crate::phase::{time_phase, Phase};
 use crate::scenario::Json;
 use timing::{ErrorCurve, StageCharacterizer, TimingError};
 
@@ -52,13 +58,45 @@ pub const CACHE_DIR_DEFAULT: &str = "target/synts-cache";
 /// in a result-affecting way: old entries then miss instead of lying.
 const CACHE_FORMAT_VERSION: f64 = 1.0;
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
-static REMOTE_HITS: AtomicU64 = AtomicU64::new(0);
-static COALESCED: AtomicU64 = AtomicU64::new(0);
+/// One set of cache counters. Every [`CharCache`] owns one (shared by
+/// its clones); [`PROCESS`] sums them all.
+#[derive(Debug, Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    write_errors: AtomicU64,
+    remote_hits: AtomicU64,
+    coalesced: AtomicU64,
+}
 
-/// Process-wide cache hit/miss counters (monotonic snapshots).
+static PROCESS: Counters = Counters {
+    hits: AtomicU64::new(0),
+    misses: AtomicU64::new(0),
+    write_errors: AtomicU64::new(0),
+    remote_hits: AtomicU64::new(0),
+    coalesced: AtomicU64::new(0),
+};
+
+impl Counters {
+    /// Counts one event on this cache's counters and the process total.
+    fn bump(&self, field: impl Fn(&Counters) -> &AtomicU64) {
+        field(self).fetch_add(1, Ordering::Relaxed);
+        field(&PROCESS).fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            write_errors: self.write_errors.load(Ordering::Relaxed),
+            remote_hits: self.remote_hits.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Cache hit/miss counters (monotonic snapshots), per cache
+/// ([`CharCache::stats`]) or process-wide ([`CacheStats::snapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Characterizations served from local disk.
@@ -78,16 +116,10 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The counters as of now.
+    /// The process-wide totals over every cache, as of now.
     #[must_use]
     pub fn snapshot() -> CacheStats {
-        CacheStats {
-            hits: HITS.load(Ordering::Relaxed),
-            misses: MISSES.load(Ordering::Relaxed),
-            write_errors: WRITE_ERRORS.load(Ordering::Relaxed),
-            remote_hits: REMOTE_HITS.load(Ordering::Relaxed),
-            coalesced: COALESCED.load(Ordering::Relaxed),
-        }
+        PROCESS.snapshot()
     }
 
     /// Hits (local + remote) + misses.
@@ -144,13 +176,16 @@ pub struct CharCache {
     dir: PathBuf,
     faults: Option<Arc<FaultPlan>>,
     remote: Option<Arc<dyn RemoteCacheTier>>,
+    /// This cache's own counters, shared by its clones.
+    counters: Arc<Counters>,
 }
 
 impl PartialEq for CharCache {
     fn eq(&self, other: &Self) -> bool {
         // The remote tier compares by identity: two caches pointing at
         // the same tier instance are the same cache; tiers have no
-        // value semantics of their own.
+        // value semantics of their own. Counters are observations, not
+        // configuration, and take no part.
         self.enabled == other.enabled
             && self.dir == other.dir
             && self.faults == other.faults
@@ -174,12 +209,7 @@ impl CharCache {
             .ok()
             .filter(|s| !s.trim().is_empty())
             .map_or_else(|| PathBuf::from(CACHE_DIR_DEFAULT), PathBuf::from);
-        CharCache {
-            enabled: true,
-            dir,
-            faults: None,
-            remote: None,
-        }
+        CharCache::at_dir(dir)
     }
 
     /// An enabled cache rooted at an explicit directory.
@@ -190,6 +220,7 @@ impl CharCache {
             dir: dir.into(),
             faults: None,
             remote: None,
+            counters: Arc::default(),
         }
     }
 
@@ -199,10 +230,15 @@ impl CharCache {
     pub fn disabled() -> CharCache {
         CharCache {
             enabled: false,
-            dir: PathBuf::new(),
-            faults: None,
-            remote: None,
+            ..CharCache::at_dir(PathBuf::new())
         }
+    }
+
+    /// This cache's counters: every lookup, store and coalesced wait made
+    /// through it or any of its clones, and nothing else.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        self.counters.snapshot()
     }
 
     /// Whether lookups touch disk at all.
@@ -255,9 +291,8 @@ impl CharCache {
     /// Resolves the cache slot for one characterization — the key and
     /// on-disk path are fixed here; [`CacheEntry::load`] and
     /// [`CacheEntry::store`] then move data through it. This is the
-    /// split-phase form of [`characterize_workload_cached`] for callers
-    /// (like the corpus build) that probe many entries up front and
-    /// compute the misses on their own schedule.
+    /// split-phase form [`characterize_pairs`] probes every pair with
+    /// before it computes the misses.
     #[must_use]
     pub fn entry(
         &self,
@@ -271,11 +306,12 @@ impl CharCache {
                 slot: None,
                 faults: None,
                 remote: None,
+                counters: Arc::clone(&self.counters),
             };
         }
         // Key construction hashes the full trace; charge it to the
         // lookup phase so the breakdown shows the probe's true cost.
-        crate::phase::time_phase(crate::phase::Phase::CacheLookup, || {
+        time_phase(Phase::CacheLookup, || {
             let key = cache_key(trace, stage, cfg, netlist);
             let mut h = Fnv::new();
             h.write_str(&key.render());
@@ -283,6 +319,7 @@ impl CharCache {
                 slot: Some((self.entry_path(h.finish()), key)),
                 faults: self.faults.clone(),
                 remote: self.remote.clone(),
+                counters: Arc::clone(&self.counters),
             }
         })
     }
@@ -298,6 +335,8 @@ pub struct CacheEntry {
     faults: Option<Arc<FaultPlan>>,
     /// Remote tier inherited from the owning [`CharCache`].
     remote: Option<Arc<dyn RemoteCacheTier>>,
+    /// Counters of the owning [`CharCache`].
+    counters: Arc<Counters>,
 }
 
 impl CacheEntry {
@@ -312,8 +351,7 @@ impl CacheEntry {
     /// miss the remote tier (if any) is consulted, and a verified remote
     /// entry counts a `remote_hit` and is replicated into the local
     /// directory. Anything else (absent, corrupt, key-mismatched, or a
-    /// disabled cache) is a miss. The disabled cache skips the counters,
-    /// like [`characterize_workload_cached`] always has.
+    /// disabled cache) is a miss. The disabled cache skips the counters.
     #[must_use]
     pub fn load(&self) -> Option<BenchmarkData> {
         let (path, key) = self.slot.as_ref()?;
@@ -322,14 +360,12 @@ impl CacheEntry {
             // An injected read fault turns this probe into a miss — the
             // exact behaviour of a corrupt or torn entry on disk.
             if plan.should(site::CACHE_READ, &token) {
-                MISSES.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(|c| &c.misses);
                 return None;
             }
         }
-        if let Some(data) =
-            crate::phase::time_phase(crate::phase::Phase::CacheLookup, || load_entry(path, key))
-        {
-            HITS.fetch_add(1, Ordering::Relaxed);
+        if let Some(data) = time_phase(Phase::CacheLookup, || load_entry(path, key)) {
+            self.counters.bump(|c| &c.hits);
             return Some(data);
         }
         if let Some(remote) = &self.remote {
@@ -341,23 +377,19 @@ impl CacheEntry {
                 .is_some_and(|plan| plan.should(site::CACHE_REMOTE, &token));
             if !blocked {
                 if let RemoteFetch::Hit(text) = remote.fetch(&token) {
-                    if let Some(data) =
-                        crate::phase::time_phase(crate::phase::Phase::CacheLookup, || {
-                            parse_entry(&text, key)
-                        })
-                    {
-                        REMOTE_HITS.fetch_add(1, Ordering::Relaxed);
+                    if let Some(data) = time_phase(Phase::CacheLookup, || parse_entry(&text, key)) {
+                        self.counters.bump(|c| &c.remote_hits);
                         // Replicate locally (best-effort) so the next
                         // probe on this machine is a plain local hit.
-                        if write_local_copy(path, &text).is_err() {
-                            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
+                        if write_entry_file(path, &text, || true).is_err() {
+                            self.counters.bump(|c| &c.write_errors);
                         }
                         return Some(data);
                     }
                 }
             }
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(|c| &c.misses);
         None
     }
 
@@ -366,12 +398,12 @@ impl CacheEntry {
     /// publishes it to the remote tier, if one is attached.
     pub fn store(&self, data: &BenchmarkData) {
         if let Some((path, key)) = &self.slot {
-            crate::phase::time_phase(crate::phase::Phase::CacheStore, || {
+            time_phase(Phase::CacheStore, || {
                 let text = Json::obj()
                     .field("key", key.clone())
                     .field("data", benchmark_data_to_json(data))
                     .render_pretty();
-                store_entry(path, &text, self.faults.as_deref());
+                store_entry(path, &text, self.faults.as_deref(), &self.counters);
                 if let Some(remote) = &self.remote {
                     let token = entry_token(path);
                     let blocked = self
@@ -379,7 +411,7 @@ impl CacheEntry {
                         .as_ref()
                         .is_some_and(|plan| plan.should(site::CACHE_REMOTE, &token));
                     if !blocked && !remote.publish(&token, &text) {
-                        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bump(|c| &c.write_errors);
                     }
                 }
             });
@@ -671,16 +703,6 @@ fn parse_entry(src: &str, key: &Json) -> Option<BenchmarkData> {
     benchmark_data_from_json(entry.get("data")?).ok()
 }
 
-/// Replicates a verified remote entry into the local directory (atomic
-/// tmp → rename, like any store; failures only cost a future re-fetch).
-fn write_local_copy(path: &Path, text: &str) -> std::io::Result<()> {
-    let dir = path.parent().ok_or(std::io::ErrorKind::InvalidInput)?;
-    std::fs::create_dir_all(dir)?;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Stable identity token for one cache slot — the entry file name —
 /// used both for fault-plan decisions and nothing else.
 fn entry_token(path: &Path) -> String {
@@ -689,42 +711,58 @@ fn entry_token(path: &Path) -> String {
         .unwrap_or_default()
 }
 
-fn store_entry(path: &Path, text: &str, faults: Option<&FaultPlan>) {
+/// Lands `text` at `path` atomically: creates the parent directory,
+/// writes a temp file whose name is unique to this process *and* call,
+/// then renames it over `path`. Concurrent writers of one entry —
+/// threads of one process included — never share a temp path, so a
+/// reader sees the old file or a whole new one, never a mix. `publish`
+/// runs between the write and the rename; when it returns `false` the
+/// temp file is removed and nothing is renamed (an error).
+///
+/// Every cache-file write goes through here: local stores, local copies
+/// of remote entries, and the fleet coordinator's `PUT /v1/cache/*`.
+///
+/// # Errors
+///
+/// The failing directory, write or rename step; or
+/// [`std::io::ErrorKind::Interrupted`] when `publish` declined.
+pub fn write_entry_file(
+    path: &Path,
+    text: &str,
+    publish: impl FnOnce() -> bool,
+) -> std::io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().ok_or(std::io::ErrorKind::InvalidInput)?;
+    std::fs::create_dir_all(dir)?;
+    let unique = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{unique}", std::process::id()));
+    std::fs::write(&tmp, text)?;
+    let renamed = if publish() {
+        std::fs::rename(&tmp, path)
+    } else {
+        Err(std::io::ErrorKind::Interrupted.into())
+    };
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed
+}
+
+fn store_entry(path: &Path, text: &str, faults: Option<&FaultPlan>, counters: &Counters) {
     // Best-effort: a read-only or full disk must never fail the run —
     // but every store that fails to land is counted (write_errors).
     let token = entry_token(path);
-    if let Some(plan) = faults {
-        if plan.should(site::CACHE_WRITE, &token) {
-            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    let Some(dir) = path.parent() else {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    if std::fs::create_dir_all(dir).is_err() {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
+    if faults.is_some_and(|plan| plan.should(site::CACHE_WRITE, &token)) {
+        counters.bump(|c| &c.write_errors);
         return;
     }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, text).is_err() {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    if let Some(plan) = faults {
-        if plan.should(site::CACHE_RENAME, &token) {
-            // The tmp file was written but the publish step "fails":
-            // clean up like a crashed renamer would not have.
-            let _ = std::fs::remove_file(&tmp);
-            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    // Atomic within one filesystem: concurrent writers of the same
-    // entry race benignly (identical content).
-    if std::fs::rename(&tmp, path).is_err() {
-        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
+    // An injected rename fault lets the temp file be written, then
+    // fails the publish step.
+    let written = write_entry_file(path, text, || {
+        !faults.is_some_and(|plan| plan.should(site::CACHE_RENAME, &token))
+    });
+    if written.is_err() {
+        counters.bump(|c| &c.write_errors);
     }
 }
 
@@ -774,7 +812,7 @@ impl Drop for CoalesceGuard {
     }
 }
 
-fn admit(token: &str) -> Admission {
+fn admit(token: &str, counters: &Counters) -> Admission {
     let c = coalescer();
     let mut inflight = c
         .inflight
@@ -785,7 +823,7 @@ fn admit(token: &str) -> Admission {
             token: token.to_string(),
         });
     }
-    COALESCED.fetch_add(1, Ordering::Relaxed);
+    counters.bump(|c| &c.coalesced);
     while inflight.contains(token) {
         inflight =
             c.cv.wait(inflight)
@@ -794,71 +832,197 @@ fn admit(token: &str) -> Admission {
     Admission::Waited
 }
 
-/// Characterizes a workload trace on one stage through the cache: a warm
-/// entry skips gate simulation entirely; a miss recomputes on `pool`
-/// and persists the result. Concurrent misses on the same key coalesce:
-/// one thread characterizes while the rest block and then read the
-/// stored entry ([`CacheStats::coalesced`] counts the waits).
-///
-/// # Errors
-///
-/// Propagates characterization failures; cache I/O failures are
-/// swallowed (they only cost a recompute).
-pub fn characterize_workload_cached(
-    trace: &WorkloadTrace,
-    stage: StageKind,
-    cfg: &HarnessConfig,
-    cache: &CharCache,
-    pool: ThreadPool,
-) -> Result<BenchmarkData, OptError> {
-    use crate::phase::{time_phase, Phase};
-    if !cache.enabled {
-        return characterize_workload_pooled(trace, stage, cfg, pool);
-    }
-    // Build the stage once: its netlist feeds the key's library
-    // fingerprint, and on a miss the same instance is characterized
-    // (no STA runs on the hit path).
-    let circuit = time_phase(Phase::StageBuild, || {
-        circuits::build_stage(stage, cfg.workload.width)
-    })
-    .map_err(TimingError::from)?;
-    let entry = cache.entry(trace, stage, cfg, circuit.netlist());
-    let token = entry.token().unwrap_or_default();
-    let mut compute_inputs = Some((circuit, pool));
+/// Takes the key, waiting out (and counting) every other holder first.
+fn lead(token: &str, counters: &Counters) -> CoalesceGuard {
     loop {
-        match admit(&token) {
-            Admission::Leader(_guard) => {
-                if let Some(data) = entry.load() {
-                    return Ok(data);
-                }
-                let (circuit, pool) = compute_inputs
-                    .take()
-                    .expect("the leader computes at most once");
-                let charac = time_phase(Phase::StageBuild, || {
-                    StageCharacterizer::from_stage(circuit)
-                })?;
-                let data = time_phase(Phase::GateSim, || {
-                    characterize_workload_on(&charac, trace, cfg, pool)
-                })?;
-                entry.store(&data);
-                return Ok(data);
-            }
-            // The leader finished while we waited. Loop: the next probe
-            // (as leader) hits the entry it stored — unless the store
-            // failed, in which case this thread recomputes.
-            Admission::Waited => {}
+        if let Admission::Leader(guard) = admit(token, counters) {
+            return guard;
         }
     }
 }
 
-/// Runs and characterizes a benchmark through the cache — the cached,
-/// pooled form of [`crate::experiments::characterize`]. The workload
-/// still runs (its trace is the cache key's fingerprint); only the
-/// dominant gate-simulation phase is skipped on a hit.
+/// Characterizes every distinct (benchmark, stage) pair of `benchmarks`
+/// × `stages` through `cache` — the one characterization engine. Returns
+/// one [`BenchmarkData`] per distinct pair, benchmark-major in order of
+/// first appearance (`[a, b, a] × [x, y]` yields `ax, ay, bx, by`).
+///
+/// The steps, each deterministic:
+///
+/// 1. one circuit per distinct stage, without STA;
+/// 2. one workload trace per distinct benchmark;
+/// 3. one cache key per pair;
+/// 4. the coalescing admissions, taken in sorted-token order, so two
+///    concurrent calls with overlapping pairs cannot wait on each other;
+/// 5. one cache probe per pair;
+/// 6. STA only for stages with a miss — a warm call runs no STA and no
+///    gate simulation;
+/// 7. one flat pool pass over the unit tasks of the missed pairs;
+/// 8. assembly in index order, stores, then the admissions released.
+///
+/// Concurrent misses on one key coalesce: one caller characterizes while
+/// the rest block and then read the stored entry
+/// ([`CacheStats::coalesced`] counts the waits).
+///
+/// ## Why the task graph is fine-grained
+///
+/// A build that fans out at (benchmark × stage) granularity behind a
+/// barrier — all workload traces first, then one coarse task per pair —
+/// measured ~1× parallel speedup (`BENCH_PR5.json`). The [`PhaseStats`]
+/// breakdown named two structural causes:
+///
+/// 1. **quantization**: 9 multi-second tasks on 4 workers run as
+///    ⌈9/4⌉ = 3 sequential rounds, capping speedup at 2.6× before any
+///    other loss;
+/// 2. **repeated setup**: each coarse task rebuilt its stage netlist and
+///    re-ran STA (9 builds for 3 distinct stages).
+///
+/// So stages are built once per *stage*, traces once per *benchmark*,
+/// and the pool schedules the *unit* task — one (pair, interval, thread)
+/// gate simulation, 108 units for a cold quick 3 × 3 corpus — on one
+/// flat pass. Greedy one-at-a-time claiming ([`ThreadPool::map`]) keeps
+/// every worker busy until the last unit is claimed, so the tail is one
+/// unit, not one pair. Results are collected in unit order, so the
+/// output is bit-identical to a sequential loop over
+/// [`characterize_thread`] at any worker count, cache disabled, cold or
+/// warm.
+///
+/// [`PhaseStats`]: crate::phase::PhaseStats
 ///
 /// # Errors
 ///
-/// As [`characterize_workload_cached`].
+/// Propagates characterization failures, the lowest-unit-index one at
+/// any worker count; cache I/O failures are swallowed (they only cost a
+/// recompute).
+pub fn characterize_pairs(
+    benchmarks: &[Benchmark],
+    stages: &[StageKind],
+    cfg: &HarnessConfig,
+    cache: &CharCache,
+    pool: ThreadPool,
+) -> Result<Vec<BenchmarkData>, OptError> {
+    let benchmarks = distinct(benchmarks);
+    let stages = distinct(stages);
+    if benchmarks.is_empty() || stages.is_empty() {
+        return Ok(Vec::new());
+    }
+    let circuits = pool.try_map(&stages, |_, &stage| {
+        time_phase(Phase::StageBuild, || {
+            circuits::build_stage(stage, cfg.workload.width)
+        })
+        .map_err(TimingError::from)
+    })?;
+    let traces = pool.map(&benchmarks, |_, bench| {
+        time_phase(Phase::TraceBuild, || bench.run(&cfg.workload))
+    });
+    let pairs: Vec<(usize, usize)> = (0..benchmarks.len())
+        .flat_map(|b| (0..stages.len()).map(move |s| (b, s)))
+        .collect();
+    let entries = pool.map(&pairs, |_, &(b, s)| {
+        cache.entry(&traces[b], stages[s], cfg, circuits[s].netlist())
+    });
+
+    let mut tokens: Vec<String> = entries.iter().filter_map(CacheEntry::token).collect();
+    tokens.sort();
+    let admissions: Vec<CoalesceGuard> = tokens
+        .iter()
+        .map(|token| lead(token, &cache.counters))
+        .collect();
+
+    let mut found = pool.map(&entries, |_, entry| entry.load());
+    let missed: Vec<usize> = (0..pairs.len()).filter(|&p| found[p].is_none()).collect();
+    let characterizers = circuits
+        .into_iter()
+        .enumerate()
+        .map(|(s, circuit)| {
+            let needed = missed.iter().any(|&p| pairs[p].1 == s);
+            needed
+                .then(|| {
+                    time_phase(Phase::StageBuild, || {
+                        StageCharacterizer::from_stage(circuit)
+                    })
+                })
+                .transpose()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let jobs: Vec<(&StageCharacterizer, &WorkloadTrace)> = missed
+        .iter()
+        .map(|&p| {
+            let (b, s) = pairs[p];
+            let charac = characterizers[s].as_ref();
+            (
+                charac.expect("a missed pair's stage is characterized"),
+                &traces[b],
+            )
+        })
+        .collect();
+    let computed = characterize_units(&jobs, cfg, pool)?;
+    pool.map(&missed, |k, &p| entries[p].store(&computed[k]));
+    for (&p, data) in missed.iter().zip(computed) {
+        found[p] = Some(data);
+    }
+    drop(admissions);
+    Ok(found.into_iter().flatten().collect())
+}
+
+/// The items of `items` in order of first appearance, duplicates dropped.
+fn distinct<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
+    let mut out: Vec<T> = Vec::with_capacity(items.len());
+    for &item in items {
+        if !out.contains(&item) {
+            out.push(item);
+        }
+    }
+    out
+}
+
+/// The uncached unit fan-out behind [`characterize_pairs`]: one
+/// [`characterize_thread`] call per (job, interval, thread), all on one
+/// `try_map` pass, assembled in unit order into one [`BenchmarkData`]
+/// per job.
+pub(crate) fn characterize_units(
+    jobs: &[(&StageCharacterizer, &WorkloadTrace)],
+    cfg: &HarnessConfig,
+    pool: ThreadPool,
+) -> Result<Vec<BenchmarkData>, OptError> {
+    let units: Vec<(&StageCharacterizer, &ThreadWork)> = jobs
+        .iter()
+        .flat_map(|&(charac, trace)| {
+            trace
+                .intervals
+                .iter()
+                .flat_map(move |interval| interval.iter().map(move |work| (charac, work)))
+        })
+        .collect();
+    let done = pool.try_map(&units, |_, &(charac, work)| {
+        time_phase(Phase::GateSim, || characterize_thread(charac, work, cfg))
+    })?;
+    let mut done = done.into_iter();
+    Ok(time_phase(Phase::Collect, || {
+        jobs.iter()
+            .map(|&(charac, trace)| BenchmarkData {
+                benchmark: trace.benchmark,
+                stage: charac.stage().kind(),
+                tnom_v1: charac.tnom_v1(),
+                intervals: trace
+                    .intervals
+                    .iter()
+                    .map(|interval| IntervalData {
+                        threads: done.by_ref().take(interval.threads()).collect(),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }))
+}
+
+/// Runs and characterizes one benchmark on one stage through the cache:
+/// [`characterize_pairs`] for a single pair. The workload still runs (its
+/// trace is the cache key's fingerprint); a hit skips STA and gate
+/// simulation.
+///
+/// # Errors
+///
+/// As [`characterize_pairs`].
 pub fn characterize_cached(
     benchmark: Benchmark,
     stage: StageKind,
@@ -866,8 +1030,9 @@ pub fn characterize_cached(
     cache: &CharCache,
     pool: ThreadPool,
 ) -> Result<BenchmarkData, OptError> {
-    let trace = benchmark.run(&cfg.workload);
-    characterize_workload_cached(&trace, stage, cfg, cache, pool)
+    characterize_pairs(&[benchmark], &[stage], cfg, cache, pool)?
+        .pop()
+        .ok_or(OptError::BadConfig("characterization produced no data"))
 }
 
 #[cfg(test)]
@@ -917,7 +1082,6 @@ mod tests {
         let dir = tmp_dir("warm");
         let cache = CharCache::at_dir(&dir);
         let cfg = HarnessConfig::quick();
-        let before = CacheStats::snapshot();
         let cold = characterize_cached(
             Benchmark::Fmm,
             StageKind::Decode,
@@ -926,7 +1090,7 @@ mod tests {
             ThreadPool::sequential(),
         )
         .expect("cold");
-        let mid = CacheStats::snapshot().since(before);
+        let mid = cache.stats();
         assert_eq!(mid.misses, 1, "cold run misses");
         let warm = characterize_cached(
             Benchmark::Fmm,
@@ -936,9 +1100,86 @@ mod tests {
             ThreadPool::sequential(),
         )
         .expect("warm");
-        let after = CacheStats::snapshot().since(before);
+        let after = cache.stats();
         assert_eq!(after.hits, 1, "warm run hits");
         assert_same(&cold, &warm);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two engine calls listing the same pairs in opposite orders are
+    /// parked at their first admission, then released together: taking
+    /// keys in sorted order, neither can end up holding a key the other
+    /// waits on while waiting on one the other holds. Which caller wins
+    /// each release is a race, so the scenario runs for several rounds.
+    #[test]
+    fn opposite_order_calls_released_together_cannot_deadlock() {
+        const ROUNDS: u64 = 8;
+        let dir = tmp_dir("opposite");
+        let cache = CharCache::at_dir(&dir);
+        let cfg = HarnessConfig::quick();
+        let benchmarks = [Benchmark::Radix, Benchmark::Fmm];
+        let stage = StageKind::Decode;
+        let circuit = circuits::build_stage(stage, cfg.workload.width).expect("stage");
+        let tokens: Vec<String> = benchmarks
+            .iter()
+            .filter_map(|b| {
+                let trace = b.run(&cfg.workload);
+                cache.entry(&trace, stage, &cfg, circuit.netlist()).token()
+            })
+            .collect();
+        for _ in 0..ROUNDS {
+            let gate = Counters::default();
+            let held: Vec<CoalesceGuard> = tokens.iter().map(|t| lead(t, &gate)).collect();
+            let parked = cache.stats().coalesced + 2;
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let mut callers = Vec::new();
+            for reversed in [false, true] {
+                let (cache, cfg, done_tx) = (cache.clone(), cfg.clone(), done_tx.clone());
+                let mut order = benchmarks.to_vec();
+                if reversed {
+                    order.reverse();
+                }
+                callers.push(std::thread::spawn(move || {
+                    let result =
+                        characterize_pairs(&order, &[stage], &cfg, &cache, ThreadPool::new(2));
+                    done_tx
+                        .send(result.map(|d| d.len()))
+                        .expect("collector alive");
+                }));
+            }
+            drop(done_tx);
+            // Both calls park on a held key (or one fails early).
+            while cache.stats().coalesced < parked && !callers.iter().any(|c| c.is_finished()) {
+                std::thread::yield_now();
+            }
+            // Release every key in one step, as if their holders had
+            // finished at once.
+            let c = coalescer();
+            let mut inflight = c
+                .inflight
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            for guard in held {
+                inflight.remove(&guard.token);
+                std::mem::forget(guard);
+            }
+            c.cv.notify_all();
+            drop(inflight);
+            for _ in 0..2 {
+                let pairs = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(300))
+                    .expect("both calls finish")
+                    .expect("characterization");
+                assert_eq!(pairs, benchmarks.len());
+            }
+            for caller in callers {
+                caller.join().expect("caller");
+            }
+        }
+        let stats = cache.stats();
+        let lookups = ROUNDS * 2 * benchmarks.len() as u64;
+        assert_eq!(stats.misses, benchmarks.len() as u64, "{stats:?}");
+        assert_eq!(stats.hits, lookups - stats.misses, "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1013,16 +1254,19 @@ mod tests {
         let k3 = cache_key(&trace, StageKind::Decode, &other, &decode).render();
         assert_ne!(k1, k3, "harness knobs are part of the key");
 
-        let before = CacheStats::snapshot();
+        let disabled = CharCache::disabled();
         let _ = characterize_cached(
             Benchmark::Radix,
             StageKind::Decode,
             &cfg,
-            &CharCache::disabled(),
+            &disabled,
             ThreadPool::sequential(),
         )
         .expect("ok");
-        let after = CacheStats::snapshot().since(before);
-        assert_eq!(after.lookups(), 0, "disabled cache never counts");
+        assert_eq!(
+            disabled.stats(),
+            CacheStats::default(),
+            "disabled cache never counts"
+        );
     }
 }

@@ -12,9 +12,11 @@ use circuits::StageKind;
 use timing::{ErrorCurve, ErrorModel as _, StageCharacterizer};
 use workloads::{Benchmark, ThreadWork, WorkloadConfig, WorkloadTrace};
 
+use crate::cache::CharCache;
 use crate::error::OptError;
 use crate::model::{SystemConfig, ThreadProfile};
 use crate::online::ThreadTrace;
+use crate::parallel::ThreadPool;
 
 /// Knobs for the characterization harness.
 #[derive(Debug, Clone)]
@@ -138,10 +140,9 @@ impl BenchmarkData {
 
 /// Characterizes one thread's work for one barrier interval on an
 /// already-built stage — the unit task of the characterization pipeline.
-/// [`characterize_workload_on`] maps this over every (interval, thread)
-/// pair; the corpus build fans the same units out at (benchmark × stage ×
-/// interval × thread) granularity, so exposing the unit keeps the two
-/// paths bit-identical by construction.
+/// [`crate::cache::characterize_pairs`] fans these units out at (benchmark
+/// × stage × interval × thread) granularity; a sequential loop over them
+/// is the reference its output is bit-identical to.
 ///
 /// # Errors
 ///
@@ -182,83 +183,30 @@ pub fn characterize_thread(
     })
 }
 
-/// Characterizes an already-generated workload trace on one stage,
-/// sequentially on the calling thread.
-///
-/// Every (interval, thread) pair is characterized through its own
-/// simulator, so [`characterize_workload_pooled`] produces bit-identical
-/// output at any worker count — use it when cores are available.
-///
-/// # Errors
-///
-/// Propagates characterization failures ([`OptError::Timing`]).
-pub fn characterize_workload(
-    trace: &WorkloadTrace,
-    stage: StageKind,
-    cfg: &HarnessConfig,
-) -> Result<BenchmarkData, OptError> {
-    characterize_workload_pooled(trace, stage, cfg, crate::parallel::ThreadPool::sequential())
-}
-
-/// Characterizes a workload trace on one stage with the (interval ×
-/// thread) gate simulations fanned out across `pool`.
-///
-/// Each pair drives an independent [`gatelib::TimingSim`] and results are
-/// collected in index order, so the output is bit-identical to the
-/// sequential loop at any worker count.
+/// Characterizes an already-generated workload trace on an already-built
+/// stage, uncached: the engine's unit fan-out
+/// ([`crate::cache::characterize_pairs`]) for one prebuilt characterizer
+/// and trace, with the (interval × thread) units spread across `pool`.
+/// Results are collected in index order, so the output is bit-identical
+/// at any worker count.
 ///
 /// # Errors
 ///
 /// Propagates characterization failures ([`OptError::Timing`]),
 /// surfacing the lowest-index failure like a sequential loop would.
-pub fn characterize_workload_pooled(
-    trace: &WorkloadTrace,
-    stage: StageKind,
-    cfg: &HarnessConfig,
-    pool: crate::parallel::ThreadPool,
-) -> Result<BenchmarkData, OptError> {
-    let charac = StageCharacterizer::new(stage, cfg.workload.width)?;
-    characterize_workload_on(&charac, trace, cfg, pool)
-}
-
-/// [`characterize_workload_pooled`] over an already-built characterizer —
-/// callers that have the stage in hand (e.g. the cache, which fingerprints
-/// the netlist first) avoid rebuilding it.
-///
-/// # Errors
-///
-/// As [`characterize_workload_pooled`].
 pub fn characterize_workload_on(
     charac: &StageCharacterizer,
     trace: &WorkloadTrace,
     cfg: &HarnessConfig,
-    pool: crate::parallel::ThreadPool,
+    pool: ThreadPool,
 ) -> Result<BenchmarkData, OptError> {
-    // Flatten (interval, thread) into one work list: intervals are few
-    // (the paper uses 3) but threads × intervals fills a pool.
-    let works: Vec<&ThreadWork> = trace
-        .intervals
-        .iter()
-        .flat_map(|interval| interval.iter())
-        .collect();
-    let data = pool.try_map(&works, |_, work| characterize_thread(charac, work, cfg))?;
-    let mut data = data.into_iter();
-    let intervals = trace
-        .intervals
-        .iter()
-        .map(|interval| IntervalData {
-            threads: data.by_ref().take(interval.threads()).collect(),
-        })
-        .collect();
-    Ok(BenchmarkData {
-        benchmark: trace.benchmark,
-        stage: charac.stage().kind(),
-        tnom_v1: charac.tnom_v1(),
-        intervals,
-    })
+    crate::cache::characterize_units(&[(charac, trace)], cfg, pool)?
+        .pop()
+        .ok_or(OptError::BadConfig("characterization produced no data"))
 }
 
-/// Runs and characterizes a benchmark on one stage.
+/// Runs and characterizes a benchmark on one stage, sequentially and
+/// without the cache.
 ///
 /// # Errors
 ///
@@ -268,8 +216,13 @@ pub fn characterize(
     stage: StageKind,
     cfg: &HarnessConfig,
 ) -> Result<BenchmarkData, OptError> {
-    let trace = benchmark.run(&cfg.workload);
-    characterize_workload(&trace, stage, cfg)
+    crate::cache::characterize_cached(
+        benchmark,
+        stage,
+        cfg,
+        &CharCache::disabled(),
+        ThreadPool::sequential(),
+    )
 }
 
 #[cfg(test)]

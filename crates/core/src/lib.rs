@@ -112,8 +112,7 @@ pub mod thrifty;
 
 pub use baselines::{no_ts, nominal, per_core_ts};
 pub use cache::{
-    characterize_cached, characterize_workload_cached, CacheEntry, CacheStats, CharCache,
-    CACHE_DIR_ENV,
+    characterize_cached, characterize_pairs, CacheEntry, CacheStats, CharCache, CACHE_DIR_ENV,
 };
 pub use error::{closest_match, levenshtein, OptError};
 pub use exhaustive::{pruning_stats, synts_exhaustive, PruningStats, EXHAUSTIVE_LIMIT};

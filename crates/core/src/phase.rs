@@ -27,7 +27,9 @@ pub enum Phase {
     TraceBuild,
     /// Building a stage netlist and running STA on it.
     StageBuild,
-    /// The gate-level timing simulation inner loop.
+    /// The gate-level timing simulation inner loop, timed per unit task
+    /// (one thread of one interval of one pair) and summed across the
+    /// workers that ran them.
     GateSim,
     /// Probing the on-disk characterization cache (key + read + parse).
     CacheLookup,

@@ -28,14 +28,14 @@
 //!
 //! ```no_run
 //! use synts_core::scenario::{Experiment, ScenarioSpec, ShardPlan, ThetaSpec};
-//! use synts_core::SolverRegistry;
+//! use synts_core::{CharCache, SolverRegistry};
 //! use workloads::Benchmark;
 //! use circuits::StageKind;
 //!
 //! # fn main() -> Result<(), synts_core::OptError> {
 //! let spec = ScenarioSpec::new("sweep", Benchmark::Radix, StageKind::Decode)
 //!     .thetas(ThetaSpec::LogAroundEqualWeight { points: 9, decades: 2.0 });
-//! let plan = ShardPlan::plan_cached(&spec, 4)?;
+//! let plan = ShardPlan::plan_cached_with(&spec, 4, &CharCache::from_env())?;
 //! let parts = plan
 //!     .shards()
 //!     .iter()
@@ -150,23 +150,13 @@ impl ShardPlan {
     }
 
     /// Plans `spec` by characterizing its benchmark/stage first, through
-    /// the environment-resolved cache (`SYNTS_CACHE_DIR`) — the entry
-    /// point the service uses on job submission. The characterization
-    /// this pays warms the cache the shards then hit.
+    /// `cache` — the entry point the service uses on job submission. The
+    /// characterization this pays warms the cache the shards then hit.
     ///
     /// # Errors
     ///
     /// Characterization failures, plus everything [`ShardPlan::plan`]
     /// raises.
-    pub fn plan_cached(spec: &ScenarioSpec, max_shards: usize) -> Result<ShardPlan, OptError> {
-        Self::plan_cached_with(spec, max_shards, &CharCache::from_env())
-    }
-
-    /// [`ShardPlan::plan_cached`] against an explicit cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardPlan::plan_cached`].
     pub fn plan_cached_with(
         spec: &ScenarioSpec,
         max_shards: usize,

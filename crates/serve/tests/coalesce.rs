@@ -1,25 +1,20 @@
 //! Shared characterization tier: request coalescing and the remote
 //! read-through path.
 //!
-//! The process-wide [`CacheStats`] counters back every assertion, so
-//! the tests in this binary serialize on one mutex and measure deltas.
+//! Every assertion reads the counters of the cache under test
+//! ([`CharCache::stats`]), so the tests run concurrently.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
 use circuits::StageKind;
-use synts_core::cache::{characterize_cached, CacheStats, CharCache, RemoteCacheTier, RemoteFetch};
+use synts_core::cache::{characterize_cached, CharCache, RemoteCacheTier, RemoteFetch};
 use synts_core::experiments::HarnessConfig;
+use synts_core::scenario::Json;
 use synts_core::{FaultPlan, ThreadPool};
+use synts_serve::{Service, ServiceConfig, Shutdown};
 use workloads::Benchmark;
-
-fn stats_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("synts-coalesce-{tag}-{}", std::process::id()));
@@ -86,7 +81,6 @@ impl RemoteCacheTier for MapTier {
 /// it and then reads the stored entry as a hit.
 #[test]
 fn concurrent_cold_misses_coalesce_to_one_characterization() {
-    let _guard = stats_lock();
     const THREADS: usize = 4;
     let dir = tmp_dir("herd");
     // The slow remote probe runs inside the leader's admission, holding
@@ -97,7 +91,6 @@ fn concurrent_cold_misses_coalesce_to_one_characterization() {
         ..MapTier::default()
     });
     let cache = CharCache::at_dir(&dir).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
-    let before = CacheStats::snapshot();
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -120,7 +113,7 @@ fn concurrent_cold_misses_coalesce_to_one_characterization() {
     for h in handles {
         h.join().expect("thread");
     }
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache.stats();
     assert_eq!(
         delta.misses, 1,
         "exactly one characterization may run: {delta:?}"
@@ -145,7 +138,6 @@ fn concurrent_cold_misses_coalesce_to_one_characterization() {
 /// plain local hit.
 #[test]
 fn remote_tier_turns_cold_local_misses_into_remote_hits() {
-    let _guard = stats_lock();
     let tier = Arc::new(MapTier::default());
     let cfg = HarnessConfig::quick();
 
@@ -153,7 +145,6 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
     let dir_a = tmp_dir("node-a");
     let cache_a =
         CharCache::at_dir(&dir_a).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
-    let before = CacheStats::snapshot();
     let data_a = characterize_cached(
         Benchmark::Radix,
         StageKind::Decode,
@@ -162,7 +153,7 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
         ThreadPool::sequential(),
     )
     .expect("node A characterizes");
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache_a.stats();
     assert_eq!(delta.misses, 1);
     assert_eq!(tier.publishes(), 1, "A must publish to the shared tier");
 
@@ -170,7 +161,6 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
     let dir_b = tmp_dir("node-b");
     let cache_b =
         CharCache::at_dir(&dir_b).with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
-    let before = CacheStats::snapshot();
     let data_b = characterize_cached(
         Benchmark::Radix,
         StageKind::Decode,
@@ -179,7 +169,7 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
         ThreadPool::sequential(),
     )
     .expect("node B reads through");
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache_b.stats();
     assert_eq!(delta.remote_hits, 1, "B resolves remotely: {delta:?}");
     assert_eq!(delta.misses, 0, "B must not recompute: {delta:?}");
     assert_eq!(
@@ -190,7 +180,7 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
 
     // B's local copy landed: the next probe never leaves the node.
     let fetches_before = tier.fetches();
-    let before = CacheStats::snapshot();
+    let before = cache_b.stats();
     characterize_cached(
         Benchmark::Radix,
         StageKind::Decode,
@@ -199,7 +189,7 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
         ThreadPool::sequential(),
     )
     .expect("node B warm");
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache_b.stats().since(before);
     assert_eq!(delta.hits, 1, "warm probe is a local hit: {delta:?}");
     assert_eq!(tier.fetches(), fetches_before, "no remote round trip");
     let _ = std::fs::remove_dir_all(&dir_a);
@@ -211,7 +201,6 @@ fn remote_tier_turns_cold_local_misses_into_remote_hits() {
 /// the publish is dropped.
 #[test]
 fn remote_faults_degrade_to_local_computation() {
-    let _guard = stats_lock();
     let tier = Arc::new(MapTier::default());
     // Seed the tier via an unfaulted node so a hit WOULD be available.
     let cfg = HarnessConfig::quick();
@@ -235,7 +224,6 @@ fn remote_faults_degrade_to_local_computation() {
         .with_faults(Some(Arc::clone(&plan)))
         .with_remote(Some(tier.clone() as Arc<dyn RemoteCacheTier>));
     let fetches_before = tier.fetches();
-    let before = CacheStats::snapshot();
     characterize_cached(
         Benchmark::Fft,
         StageKind::Decode,
@@ -244,7 +232,7 @@ fn remote_faults_degrade_to_local_computation() {
         ThreadPool::sequential(),
     )
     .expect("severed node still computes");
-    let delta = CacheStats::snapshot().since(before);
+    let delta = cache_cut.stats();
     assert_eq!(delta.misses, 1, "severed node recomputes: {delta:?}");
     assert_eq!(delta.remote_hits, 0, "no remote traffic: {delta:?}");
     assert_eq!(
@@ -263,4 +251,65 @@ fn remote_faults_degrade_to_local_computation() {
     );
     let _ = std::fs::remove_dir_all(&dir_seed);
     let _ = std::fs::remove_dir_all(&dir_cut);
+}
+
+/// Concurrent `PUT /v1/cache/*` handlers publishing one entry name all
+/// succeed, and the file left behind is one writer's entry, whole.
+#[test]
+fn concurrent_same_name_publishes_all_land_whole() {
+    const WRITERS: usize = 8;
+    let dir = tmp_dir("publish");
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        cache: CharCache::at_dir(&dir),
+        ..ServiceConfig::default()
+    });
+    let name = "00000000deadbeef.json";
+    // Entries big enough that the writes overlap in time.
+    let entries: Vec<String> = (0..WRITERS)
+        .map(|w| {
+            Json::obj()
+                .field("writer", Json::num(w as f64))
+                .field(
+                    "data",
+                    Json::Arr((0..20_000).map(|i| Json::num((i * w) as f64)).collect()),
+                )
+                .render_pretty()
+        })
+        .collect();
+    let barrier = Barrier::new(WRITERS);
+    let results: Vec<Result<(), String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = entries
+            .iter()
+            .map(|entry| {
+                let (service, barrier) = (&service, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    service.cache_publish(name, entry)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("writer thread"))
+            .collect()
+    });
+    service.shutdown(Shutdown::Now);
+    for result in &results {
+        assert_eq!(result, &Ok(()), "every publish must land");
+    }
+    let landed = std::fs::read_to_string(dir.join(name)).expect("entry present");
+    assert!(Json::parse(&landed).is_ok(), "the landed entry parses");
+    assert!(
+        entries.contains(&landed),
+        "the landed entry is one writer's, byte for byte"
+    );
+    let strays: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name())
+        .filter(|n| n != name)
+        .collect();
+    assert!(strays.is_empty(), "no temp files left behind: {strays:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,15 +3,22 @@
 //! * a [`BenchmarkData`] served from the on-disk cache is **bit-identical**
 //!   to a freshly simulated one (delays, curves, CPI, instruction counts);
 //! * a parallel corpus build at 1/2/8 workers equals the sequential one;
+//! * the characterization engine equals a nested loop over its unit task
+//!   on generated benchmark × stage subsets, at any worker count, cache
+//!   disabled, cold or warm — and concurrent calls coalesce;
 //! * corrupted, truncated or garbage cache entries silently recompute;
 //! * the zero-alloc batched `delay_trace_into` entry point reproduces
 //!   `delay_trace_sampled` exactly, including across buffer reuse;
 //! * `guard_band` is worker-count-invariant.
 
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use proptest::prelude::*;
+use synts::core_api::experiments::characterize_thread;
 use synts::prelude::*;
+use synts::timing::StageCharacterizer;
 use synts_bench::corpus::{Corpus, Effort};
 
 const BENCHES: [Benchmark; 3] = [Benchmark::Radix, Benchmark::Cholesky, Benchmark::Fmm];
@@ -43,8 +50,81 @@ fn assert_bit_identical(a: &BenchmarkData, b: &BenchmarkData) {
     }
 }
 
+/// The reference the engine is held to: a sequential nested loop over
+/// the unit task, one pair at a time.
+fn nested_unit_loop(bench: Benchmark, stage: StageKind, cfg: &HarnessConfig) -> BenchmarkData {
+    let charac = StageCharacterizer::new(stage, cfg.workload.width).expect("stage");
+    let trace = bench.run(&cfg.workload);
+    let mut intervals = Vec::new();
+    for interval in &trace.intervals {
+        let mut threads = Vec::new();
+        for t in 0..interval.threads() {
+            threads.push(characterize_thread(&charac, interval.thread(t), cfg).expect("unit"));
+        }
+        intervals.push(IntervalData { threads });
+    }
+    BenchmarkData {
+        benchmark: bench,
+        stage,
+        tnom_v1: charac.tnom_v1(),
+        intervals,
+    }
+}
+
+/// Distinct (benchmark, stage) pairs, benchmark-major in order of first
+/// appearance — the order the engine promises.
+fn distinct_pairs(benchmarks: &[Benchmark], stages: &[StageKind]) -> Vec<(Benchmark, StageKind)> {
+    let mut pairs = Vec::new();
+    for &bench in benchmarks {
+        for &stage in stages {
+            if !pairs.contains(&(bench, stage)) {
+                pairs.push((bench, stage));
+            }
+        }
+    }
+    pairs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The engine over a generated benchmark × stage subset (one
+    /// benchmark listed twice) returns one entry per distinct pair, in
+    /// pair order, each bit-identical to the nested unit loop — at 1, 2,
+    /// 4 and 8 workers, with the cache disabled, cold and warm.
+    #[test]
+    fn engine_matches_nested_unit_loop(
+        bench_picks in prop::collection::vec(0..BENCHES.len(), 1..3),
+        stage_picks in prop::collection::vec(0..StageKind::ALL.len(), 1..3),
+    ) {
+        let cfg = HarnessConfig::quick();
+        let mut benchmarks: Vec<Benchmark> = bench_picks.iter().map(|&i| BENCHES[i]).collect();
+        benchmarks.push(benchmarks[0]);
+        let stages: Vec<StageKind> = stage_picks.iter().map(|&i| StageKind::ALL[i]).collect();
+        let pairs = distinct_pairs(&benchmarks, &stages);
+        let reference: Vec<BenchmarkData> = pairs
+            .iter()
+            .map(|&(bench, stage)| nested_unit_loop(bench, stage, &cfg))
+            .collect();
+        for workers in [1usize, 2, 4, 8] {
+            let dir = tmp_cache(&format!("engine-{workers}w"));
+            let cache = CharCache::at_dir(&dir);
+            for (mode, cache) in [("disabled", &CharCache::disabled()), ("cold", &cache), ("warm", &cache)] {
+                let got = characterize_pairs(&benchmarks, &stages, &cfg, cache, ThreadPool::new(workers))
+                    .expect("engine");
+                let got_pairs: Vec<(Benchmark, StageKind)> =
+                    got.iter().map(|d| (d.benchmark, d.stage)).collect();
+                prop_assert_eq!(&got_pairs, &pairs, "pair order, {} cache, {} workers", mode, workers);
+                for (g, r) in got.iter().zip(&reference) {
+                    assert_bit_identical(g, r);
+                }
+            }
+            let stats = cache.stats();
+            prop_assert_eq!(stats.misses, pairs.len() as u64, "cold misses once per pair");
+            prop_assert_eq!(stats.hits, pairs.len() as u64, "warm hits once per pair");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 
     /// Cache round-trip: fresh characterization, cold (store) pass and
     /// warm (load) pass are all bit-identical, for every stage.
@@ -174,4 +254,87 @@ fn guard_band_is_worker_count_invariant() {
             "guard band drifted at {workers} workers"
         );
     }
+}
+
+/// Two concurrent multi-pair calls on one cold cache, listing the same
+/// pairs in opposite orders, both finish (admissions are taken in one
+/// global order, so neither can hold a key the other waits on while
+/// waiting on one it holds), every pair is characterized exactly once,
+/// and the later caller reads the earlier one's entries as hits.
+#[test]
+fn concurrent_overlapping_calls_characterize_each_pair_once() {
+    const BENCHMARKS: [Benchmark; 2] = [Benchmark::Radix, Benchmark::Fmm];
+    const STAGES: [StageKind; 2] = [StageKind::Decode, StageKind::SimpleAlu];
+    let dir = tmp_cache("overlap");
+    let cache = CharCache::at_dir(&dir);
+    let barrier = Arc::new(Barrier::new(2));
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut callers = Vec::new();
+    for reversed in [false, true] {
+        let (cache, barrier, done_tx) = (cache.clone(), Arc::clone(&barrier), done_tx.clone());
+        callers.push(std::thread::spawn(move || {
+            let (mut benchmarks, mut stages) = (BENCHMARKS.to_vec(), STAGES.to_vec());
+            if reversed {
+                benchmarks.reverse();
+                stages.reverse();
+            }
+            barrier.wait();
+            let data = characterize_pairs(
+                &benchmarks,
+                &stages,
+                &HarnessConfig::quick(),
+                &cache,
+                ThreadPool::new(2),
+            )
+            .expect("engine");
+            done_tx.send(data).expect("collector alive");
+        }));
+    }
+    drop(done_tx);
+    // A deadlock shows as a timeout here rather than a hung test binary.
+    let results: Vec<Vec<BenchmarkData>> = (0..2)
+        .map(|_| {
+            done_rx
+                .recv_timeout(Duration::from_secs(300))
+                .expect("both overlapping calls finish")
+        })
+        .collect();
+    for caller in callers {
+        caller.join().expect("caller");
+    }
+    let pairs = BENCHMARKS.len() * STAGES.len();
+    let stats = cache.stats();
+    assert_eq!(stats.misses, pairs as u64, "each pair once: {stats:?}");
+    assert_eq!(stats.hits, pairs as u64, "the later caller hits: {stats:?}");
+    for data in &results[0] {
+        let twin = results[1]
+            .iter()
+            .find(|d| (d.benchmark, d.stage) == (data.benchmark, data.stage))
+            .expect("both calls list every pair");
+        assert_bit_identical(data, twin);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A warm call is all hits: nothing is recomputed or rewritten.
+#[test]
+fn warm_call_counts_only_hits() {
+    let cfg = HarnessConfig::quick();
+    let dir = tmp_cache("warm-only");
+    let cache = CharCache::at_dir(&dir);
+    let benchmarks = [Benchmark::Fmm, Benchmark::Radix];
+    let stages = [StageKind::ComplexAlu, StageKind::Decode];
+    let cold =
+        characterize_pairs(&benchmarks, &stages, &cfg, &cache, ThreadPool::new(2)).expect("cold");
+    let before = cache.stats();
+    let warm =
+        characterize_pairs(&benchmarks, &stages, &cfg, &cache, ThreadPool::new(2)).expect("warm");
+    let delta = cache.stats().since(before);
+    assert_eq!(delta.hits, cold.len() as u64, "{delta:?}");
+    assert_eq!(delta.lookups(), delta.hits, "only hits: {delta:?}");
+    assert_eq!(delta.write_errors, 0, "{delta:?}");
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_bit_identical(c, w);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
